@@ -512,7 +512,7 @@ func (p *profiler) stop() []byte {
 	return bytes.Clone(p.buf.Bytes())
 }
 
-// tailLadder are the percentiles run_ms_tail may report.
+// tailLadder are the percentiles run_cpu_ms_tail may report.
 var tailLadder = []float64{99.9, 99, 95, 90, 75, 50}
 
 // tailPercentile is the highest ladder percentile, at most limit, that
