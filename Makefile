@@ -8,6 +8,8 @@
 #   make test-short  quick iteration loop (skips the slow verification grids)
 #   make race        full test suite under the race detector
 #   make ci          what CI runs: vet + lint + full tests
+#   make perfbench-test  the perfbench module's own tests (a separate
+#                    module, so the root go build/test never compiles it)
 #   make bench       time the cycle loop under both schedulers -> BENCH_sim.json
 #   make bench-check replay BENCH_sim.json's budgets: recorded speedups
 #                    must be >=1.0 and allocs within the per-mode
@@ -45,7 +47,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test test-short race ci bench bench-check bench-smoke profile paperbench fuzz fuzz-long wload-smoke lab-smoke lab-record chaos-smoke trace-smoke
+.PHONY: build vet lint test test-short race ci perfbench-test bench bench-check bench-smoke profile paperbench fuzz fuzz-long wload-smoke lab-smoke lab-record chaos-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -68,7 +70,12 @@ test-short: build
 race: build
 	$(GO) test -race ./...
 
-ci: vet lint test wload-smoke lab-smoke chaos-smoke trace-smoke
+ci: vet lint test perfbench-test wload-smoke lab-smoke chaos-smoke trace-smoke
+
+# perfbench is its own module (it replaces repro with the checkout), so
+# `go build ./...` and `go test ./...` at the root never see it break.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # Declarative-workload smoke: every spec in the preset library must
 # validate, compile, run under eager/lazy-vb/RetCon and pass its declared

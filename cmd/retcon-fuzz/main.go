@@ -9,6 +9,7 @@
 //	retcon-fuzz -seeds 0:10000 -short          # smaller programs, faster
 //	retcon-fuzz -seeds 5000 -jsonl div.jsonl   # 0:5000, JSONL divergence report
 //	retcon-fuzz -seeds 0:100 -corpus out/      # write minimized reproducers
+//	retcon-fuzz -seeds 0:1000 -max-cores 64    # machines of up to 64 cores
 //
 // Every divergence is minimized by the shrinker and reported; with
 // -corpus the reproducer is also written as a corpus entry ready to
@@ -33,6 +34,7 @@ func main() {
 	seedsFlag := flag.String("seeds", "0:1000", "seed range lo:hi (hi exclusive), or a count N meaning 0:N")
 	workers := flag.Int("workers", 0, "worker-pool size (default: GOMAXPROCS)")
 	short := flag.Bool("short", false, "generate smaller programs (faster per seed)")
+	maxCores := flag.Int("max-cores", 0, "largest generated machine, at most 64 (default 6, or 4 with -short)")
 	maxCycles := flag.Int64("maxcycles", 0, "per-run watchdog cycles (default: harness default)")
 	noShrink := flag.Bool("no-shrink", false, "report divergences without minimizing them")
 	corpusDir := flag.String("corpus", "", "write minimized reproducers to this directory")
@@ -50,7 +52,10 @@ func main() {
 		fail(err)
 	}
 	n := int(hi - lo)
-	gopt := fuzz.GenOptions{Small: *short}
+	if *maxCores < 0 || *maxCores > 64 {
+		fail(fmt.Errorf("-max-cores %d out of [0,64]", *maxCores))
+	}
+	gopt := fuzz.GenOptions{Small: *short, MaxCores: *maxCores}
 	opt := fuzz.Options{MaxCycles: *maxCycles}
 
 	var jsonlW *json.Encoder

@@ -181,8 +181,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "retcon-sim:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("sched     event-loop %d cycles  dense %d cycles  handoffs %d\n",
-			res.Sched.EventCycles, res.Sched.DenseCycles, res.Sched.Handoffs)
+		fmt.Printf("sched     event-loop %d cycles  dense %d cycles  handoffs %d  skipped NACK retries %d\n",
+			res.Sched.EventCycles, res.Sched.DenseCycles, res.Sched.Handoffs, res.Sched.SkippedRetries)
 	}
 
 	if *speedup {

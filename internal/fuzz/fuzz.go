@@ -11,7 +11,9 @@
 //  1. Scheduler differential: the lockstep reference scheduler and the
 //     event-driven time-skip scheduler must produce byte-identical
 //     Results, traces and final memory images (PR 2's equivalence claim,
-//     on generated rather than hand-written inputs).
+//     on generated rather than hand-written inputs). The event scheduler
+//     runs twice: traced, where NACKed cores poll, and untraced, where
+//     they park on their holder's transaction.
 //  2. Serial-HTM vs RETCON: the eager baseline, the lazy-vb ablation and
 //     full RETCON must all commit the statically-expected final shared
 //     state (counters sum, byte lanes last-write, hash table contains
@@ -108,7 +110,7 @@ func (p *Prog) Validate() error {
 }
 
 const (
-	maxCores     = 8
+	maxCores     = 64 // the simulator's limit; GenOptions.MaxCores picks the campaign's
 	maxLoopN     = 16
 	maxBusyN     = 256
 	maxLoopDepth = 2

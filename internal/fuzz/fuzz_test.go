@@ -71,6 +71,29 @@ func TestGeneratedSweep(t *testing.T) {
 	}
 }
 
+// TestGeneratedSweepLargeMachines: with MaxCores raised, generated
+// machines reach the sizes the event scheduler serves with its timing
+// wheel (above 16 cores), and they too pass every oracle.
+func TestGeneratedSweepLargeMachines(t *testing.T) {
+	n := int64(12)
+	if testing.Short() {
+		n = 4
+	}
+	large := 0
+	for seed := int64(0); seed < n; seed++ {
+		p := Generate(seed, GenOptions{Small: true, MaxCores: 64})
+		if p.Cores > 16 {
+			large++
+		}
+		if d := Check(p, Options{}); d != nil {
+			t.Fatalf("seed %d (%d cores): %v", seed, p.Cores, d)
+		}
+	}
+	if large == 0 {
+		t.Errorf("no generated machine above 16 cores in %d seeds", n)
+	}
+}
+
 // TestExpectations pins the static model on a hand-built program:
 // counter sums with wrap, lane last-writes, per-core commit counts.
 func TestExpectations(t *testing.T) {
@@ -144,6 +167,12 @@ func TestValidateRejects(t *testing.T) {
 			p.Threads[0] = []Stmt{{Kind: KTx, Body: []Stmt{
 				{Kind: KLane, Tgt: 0, Size: 1}, {Kind: KLane, Tgt: 0, Size: 2},
 			}}}
+		}},
+		{"more cores than the simulator has", func(p *Prog) {
+			p.Cores = 65
+			for len(p.Threads) < p.Cores {
+				p.Threads = append(p.Threads, nil)
+			}
 		}},
 		{"shared add gated by branch", func(p *Prog) {
 			p.Threads[0] = []Stmt{{Kind: KTx, Body: []Stmt{

@@ -6,7 +6,7 @@ import "math"
 // configuration; Small tightens every budget for smoke tests and -short
 // sweeps.
 type GenOptions struct {
-	MaxCores int  // default 6 (4 when Small)
+	MaxCores int  // default 6 (4 when Small); at most 64
 	Small    bool // smaller loops, fewer phases: faster per-seed runs
 }
 

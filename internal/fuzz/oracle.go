@@ -78,9 +78,12 @@ func checkMode(p *Prog, ex *expect, mode sim.Mode, o Options) *Divergence {
 		return &Divergence{Seed: p.Seed, Oracle: oracle, Mode: mode.String(), Detail: fmt.Sprintf(format, args...)}
 	}
 
-	lock := runSched(p, mode, sim.SchedLockstep, o)
-	ev := runSched(p, mode, sim.SchedEvent, o)
-	for _, r := range []*runOut{lock, ev} {
+	lock := runSched(p, mode, sim.SchedLockstep, o, true)
+	ev := runSched(p, mode, sim.SchedEvent, o, true)
+	// A traced run selects NACK events, so its event scheduler polls NACKed
+	// cores; only an untraced run parks them on their holder's transaction.
+	parked := runSched(p, mode, sim.SchedEvent, o, false)
+	for _, r := range []*runOut{lock, ev, parked} {
 		if _, isReplay := r.err.(*replayErr); isReplay {
 			return div(OracleReplay, "%v", r.err.(*replayErr).inner)
 		}
@@ -88,6 +91,10 @@ func checkMode(p *Prog, ex *expect, mode sim.Mode, o Options) *Divergence {
 	if (lock.err == nil) != (ev.err == nil) ||
 		(lock.err != nil && lock.err.Error() != ev.err.Error()) {
 		return div(OracleSched, "errors differ: lockstep=%v event=%v", lock.err, ev.err)
+	}
+	if (lock.err == nil) != (parked.err == nil) ||
+		(lock.err != nil && lock.err.Error() != parked.err.Error()) {
+		return div(OracleSched, "errors differ: lockstep=%v untraced event=%v", lock.err, parked.err)
 	}
 	if lock.err != nil {
 		// Both schedulers failed identically: a deterministic simulation
@@ -97,14 +104,19 @@ func checkMode(p *Prog, ex *expect, mode sim.Mode, o Options) *Divergence {
 	if !reflect.DeepEqual(lock.res, ev.res) {
 		return div(OracleSched, "results diverge:\nlockstep: %+v\nevent:    %+v", lock.res, ev.res)
 	}
+	if !reflect.DeepEqual(lock.res, parked.res) {
+		return div(OracleSched, "results diverge:\nlockstep:        %+v\nuntraced event:  %+v", lock.res, parked.res)
+	}
 	if !bytes.Equal(lock.trace, ev.trace) {
 		return div(OracleSched, "traces diverge (lockstep %d bytes, event %d bytes):%s",
 			len(lock.trace), len(ev.trace), firstTraceDiff(lock.trace, ev.trace))
 	}
-	if !lock.img.Equal(ev.img) {
-		w := lock.img.DiffWord(ev.img)
-		return div(OracleSched, "final memory diverges at word %#x: lockstep %d, event %d",
-			w, lock.img.Read64(w), ev.img.Read64(w))
+	for _, r := range []*runOut{ev, parked} {
+		if !lock.img.Equal(r.img) {
+			w := lock.img.DiffWord(r.img)
+			return div(OracleSched, "final memory diverges at word %#x: lockstep %d, event %d",
+				w, lock.img.Read64(w), r.img.Read64(w))
+		}
 	}
 
 	if d := checkStats(p, ex, mode, ev.res); d != nil {
@@ -124,12 +136,12 @@ type replayErr struct{ inner error }
 
 func (e *replayErr) Error() string { return e.inner.Error() }
 
-// machines recycles simulators across the harness's runs (6 per checked
-// program: 3 modes x 2 schedulers, times however many seeds a campaign
+// machines recycles simulators across the harness's runs (9 per checked
+// program: 3 modes x 3 runs, times however many seeds a campaign
 // sweeps). Reset guarantees reuse cannot change any oracle's verdict.
 var machines sim.MachinePool
 
-func runSched(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options) *runOut {
+func runSched(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options, traced bool) *runOut {
 	img, progs, _, err := Compile(p)
 	if err != nil {
 		return &runOut{err: err}
@@ -163,7 +175,9 @@ func runSched(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options) *runOut {
 		return &runOut{err: fmt.Errorf("fuzz: footprint %d blocks exceeds speculative capacity %d", fp, m.Cores[0].Tx.Spec.Cap())}
 	}
 	trace := &cappedBuf{limit: traceCapBytes}
-	m.TraceTo(trace)
+	if traced {
+		m.TraceTo(trace)
+	}
 	if !o.SkipReplay {
 		inner := ReplayOracle()
 		m.OnCommit(func(mm *sim.Machine, cc *sim.Core) error {

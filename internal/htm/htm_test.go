@@ -128,6 +128,24 @@ func TestPredictorPromoteAndDemote(t *testing.T) {
 	}
 }
 
+// TestPredictorObserveConflictN: the bulk form equals n single
+// observations, across a violation's negative count and the promotion
+// threshold.
+func TestPredictorObserveConflictN(t *testing.T) {
+	for _, n := range []int64{1, 2, 40, 99, 100, 101} {
+		one, bulk := NewPredictor(3, 100), NewPredictor(3, 100)
+		one.ObserveViolation(7)
+		bulk.ObserveViolation(7)
+		for i := int64(0); i < n; i++ {
+			one.ObserveConflict(7)
+		}
+		bulk.ObserveConflictN(7, n)
+		if *one.find(7) != *bulk.find(7) {
+			t.Errorf("n=%d: bulk slot %+v, one-by-one %+v", n, *bulk.find(7), *one.find(7))
+		}
+	}
+}
+
 func TestPredictorReset(t *testing.T) {
 	p := NewPredictor(1, 100)
 	p.ObserveConflict(3)

@@ -128,9 +128,15 @@ func (p *Predictor) Tracks(block int64) bool {
 
 // ObserveConflict trains the predictor up: the core aborted, was stalled,
 // or aborted a peer because of block.
-func (p *Predictor) ObserveConflict(block int64) {
+func (p *Predictor) ObserveConflict(block int64) { p.ObserveConflictN(block, 1) }
+
+// ObserveConflictN is ObserveConflict applied n times: the bulk form for
+// NACK retries the event scheduler accounts without executing them.
+// Promotion only ever switches tracking on, so checking the threshold
+// once after the whole increment is the same as checking it after each.
+func (p *Predictor) ObserveConflictN(block int64, n int64) {
 	s := p.slot(block)
-	s.conflicts++
+	s.conflicts += int32(n)
 	if !s.tracking && s.conflicts >= int32(p.PromoteAfter) {
 		s.tracking = true
 	}

@@ -157,6 +157,9 @@ func (m *Machine) finishCommit(c *Core, repairLat, txCycles int64) {
 		}
 	}
 	c.Tx.Commit()
+	if c.waiters != 0 {
+		m.wakeWaiters(c)
+	}
 	c.Ret.Reset()
 	c.pendingTS = 0
 	c.Stats.Commits++

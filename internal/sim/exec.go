@@ -39,11 +39,7 @@ func (m *Machine) exec(c *Core) {
 		val, sym, lat, st := m.load(c, addr, in.Size)
 		switch st {
 		case accessNack:
-			if c.nackWaitSince == 0 {
-				c.nackWaitSince = m.Now
-			}
-			c.addCycle(CatConflict)
-			c.setStall(m.Now+m.P.NackRetry-1, CatConflict)
+			m.nacked(c)
 		case accessAbort:
 			// PC and stall already set by abort.
 		default:
@@ -70,11 +66,7 @@ func (m *Machine) exec(c *Core) {
 		lat, st := m.store(c, addr, in.Size, c.Regs[in.Rs2], dataSym)
 		switch st {
 		case accessNack:
-			if c.nackWaitSince == 0 {
-				c.nackWaitSince = m.Now
-			}
-			c.addCycle(CatConflict)
-			c.setStall(m.Now+m.P.NackRetry-1, CatConflict)
+			m.nacked(c)
 		case accessAbort:
 		default:
 			if c.nackWaitSince != 0 {
@@ -130,6 +122,20 @@ func (m *Machine) exec(c *Core) {
 
 	default:
 		panic(fmt.Sprintf("sim: core %d unknown opcode %v at pc %d", c.ID, in.Op, c.PC))
+	}
+}
+
+// nacked stalls core c, whose access was just NACKed, until its next
+// retry NackRetry cycles on — or, under the event scheduler, parks it on
+// the vetoing holder's transaction instead (see park).
+func (m *Machine) nacked(c *Core) {
+	if c.nackWaitSince == 0 {
+		c.nackWaitSince = m.Now
+	}
+	c.addCycle(CatConflict)
+	c.setStall(m.Now+m.P.NackRetry-1, CatConflict)
+	if m.parking {
+		m.park(c)
 	}
 }
 

@@ -53,6 +53,17 @@ type Core struct {
 	// abort discards it.
 	nackWaitSince int64
 
+	// Parked NACK waits (event scheduler; see park in sched.go).
+	// nackHolder and nackBlock name the core that vetoed the last NACKed
+	// request and its block. parkedAt is the NACK cycle of a parked core,
+	// 0 when the core is not parked: its retry grid is parkedAt +
+	// k·NackRetry. waiters is the mask of cores parked on this core's
+	// current transaction, which wake when it commits or aborts.
+	nackHolder int
+	nackBlock  int64
+	parkedAt   int64
+	waiters    uint64
+
 	Stats  CoreStats
 	RetAgg RetconAgg
 }
@@ -86,6 +97,7 @@ type Machine struct {
 	commitHook CommitObserver
 	hookErr    error
 	lazyAttr   bool // event scheduler active: stall/barrier cycles attribute lazily
+	parking    bool // event loop active and no recorder wants NACK/train events: NACKed cores park
 	execID     int  // ID of the core currently executing (valid under lazyAttr)
 	// wakes is the event scheduler's per-core wake table: one slot per
 	// core holding its next wake cycle (parked when none). Mid-cycle
@@ -100,6 +112,10 @@ type Machine struct {
 	// earliest timed wake (see runScan).
 	nextReady []int
 	minStall  int64
+	// wokeNow holds the parked cores a commit or abort woke into the
+	// current cycle (see wakeWaiters); the event loops fold it into their
+	// due list after the executing core's turn.
+	wokeNow []int
 	// ready, popped and live are the schedulers' reusable scratch lists
 	// (due list, wheel drain buffer, dense-phase live-core list): machine-
 	// owned so steady-state runs allocate nothing in the cycle loops. The
@@ -194,6 +210,7 @@ func (m *Machine) Reset(p Params, img *mem.Image, progs []*isa.Program) error {
 	m.wakes = m.wakes[:p.Cores]
 	m.pendingWakes = m.pendingWakes[:0]
 	m.nextReady = m.nextReady[:0]
+	m.wokeNow = m.wokeNow[:0]
 	m.ready = m.ready[:0]
 	m.popped = m.popped[:0]
 	m.live = m.live[:0]
@@ -208,6 +225,7 @@ func (m *Machine) Reset(p Params, img *mem.Image, progs []*isa.Program) error {
 	m.commitHook = nil
 	m.hookErr = nil
 	m.lazyAttr = false
+	m.parking = false
 	m.execID = 0
 	m.syncDirty = false
 	m.interrupted.Store(false)
@@ -259,6 +277,10 @@ func (c *Core) resetFor(prog *isa.Program, specCap int, retCfg core.Config, p Pa
 	c.pendingTS = 0
 	c.nackProbeValid = false
 	c.nackWaitSince = 0
+	c.nackHolder = 0
+	c.nackBlock = 0
+	c.parkedAt = 0
+	c.waiters = 0
 	c.halted = false
 	c.barrierWait = false
 	c.stallUntil = 0
@@ -466,6 +488,11 @@ func (c *Core) setStall(until int64, cat Category) {
 // from the telemetry taxonomy, counted in the metrics registry and
 // stamped on the recorded abort event.
 func (m *Machine) abort(c *Core, blameBlock int64, cause telemetry.Cause) {
+	if c.parkedAt != 0 {
+		// Remote abort of a parked core: account the retries it would have
+		// polled before this point, then abort it like any stalled core.
+		m.unpark(c, m.turnFrom(c))
+	}
 	if m.lazyAttr && c.ID != m.execID {
 		// Remote abort under lazy attribution: bring the victim's accounting
 		// to exactly the point the lockstep stepper would have reached this
@@ -513,6 +540,9 @@ func (m *Machine) abort(c *Core, blameBlock int64, cause telemetry.Cause) {
 			m.minStall = w
 		}
 		m.pendingWakes = append(m.pendingWakes, c.ID)
+	}
+	if c.waiters != 0 {
+		m.wakeWaiters(c)
 	}
 }
 

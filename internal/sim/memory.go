@@ -65,6 +65,7 @@ func (m *Machine) coherentRequest(c *Core, block int64, isWrite, allowNack bool)
 		m.observeConflict(c, block)
 		if allowNack {
 			c.Stats.Nacks++
+			c.nackHolder, c.nackBlock = h, block
 			if m.rec != nil {
 				m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: int32(c.ID), Kind: telemetry.KindNack, Block: block, A: int64(h)})
 			}

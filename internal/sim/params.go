@@ -143,5 +143,10 @@ func (p *Params) Validate() error {
 	if p.MaxCycles <= 0 {
 		return fmt.Errorf("sim: MaxCycles must be positive")
 	}
+	// A NACKed access retries on the grid NACK cycle + k·NackRetry, and the
+	// event scheduler's parked waits divide by the interval.
+	if p.NackRetry < 1 {
+		return fmt.Errorf("sim: NackRetry must be at least 1 cycle, got %d", p.NackRetry)
+	}
 	return nil
 }

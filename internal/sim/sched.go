@@ -167,9 +167,10 @@ const (
 	denseExitPct  = 40
 )
 
-// parked marks a core with no timed wake (halted, or waiting at a barrier
-// until a release rewrites its slot). It is the maximum wake time, so the
-// scan's min pass needs no special case for parked cores.
+// parked marks a core with no timed wake: halted, waiting at a barrier
+// until a release rewrites its slot, or parked on a NACK until its
+// holder's transaction ends (see park). It is the maximum wake time, so
+// the scan's min pass needs no special case for parked cores.
 const parked = neverWakes
 
 // scanSchedMaxCores is the largest machine the dense-scan wake queue is
@@ -180,7 +181,11 @@ const scanSchedMaxCores = 16
 
 func (eventSched) Run(m *Machine) error {
 	m.lazyAttr = true
-	defer func() { m.lazyAttr = false }()
+	// A recorder that selects NACK or predictor-training events must see
+	// every retry emit its own events, so such runs keep polling.
+	parking := !m.rec.Wants(telemetry.KindNack) && !m.rec.Wants(telemetry.KindTrain)
+	m.parking = parking
+	defer func() { m.lazyAttr, m.parking = false, false }()
 	// Entry check so an interrupt raised before Run (a deadline abandon
 	// racing a pool handoff) fails even a run too short to reach its
 	// first window boundary; the loops poll at the boundaries after this.
@@ -207,7 +212,9 @@ func (eventSched) Run(m *Machine) error {
 		// lazy attribution through the current cycle (each is either fully
 		// attributed — it executed this cycle — or mid-wait with its wait
 		// category still pending, exactly what settle charges), then run
-		// eagerly attributed dense cycles until the phase ends.
+		// eagerly attributed dense cycles until the phase ends. The dense
+		// loop polls NACKed cores, so parked cores resume their retry grid
+		// at its next point.
 		m.schedStats.Handoffs++
 		if m.rec != nil {
 			// Scheduler-infrastructure event: masked out of ArchKinds, so
@@ -215,15 +222,18 @@ func (eventSched) Run(m *Machine) error {
 			m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: -1, Kind: telemetry.KindHandoff, A: 1})
 		}
 		for _, c := range m.Cores {
+			if c.parkedAt != 0 {
+				m.unpark(c, m.Now+1)
+			}
 			if !c.halted {
 				m.settle(c, m.Now)
 			}
 		}
-		m.lazyAttr = false
+		m.lazyAttr, m.parking = false, false
 		spanStart = m.Now
 		done, err = m.runDense()
 		m.schedStats.DenseCycles += m.Now - spanStart
-		m.lazyAttr = true
+		m.lazyAttr, m.parking = true, parking
 		if done || err != nil {
 			return err
 		}
@@ -423,7 +433,8 @@ func (m *Machine) runScan() (done bool, err error) {
 			m.nextReady = m.nextReady[:0]
 		}
 
-		for _, id := range ready {
+		for i := 0; i < len(ready); i++ {
+			id := ready[i]
 			// Re-check the schedule at the core's turn: an earlier core's
 			// execution this cycle may have aborted (and rescheduled) it,
 			// exactly as under lockstep order. The wake slot is checked
@@ -456,6 +467,8 @@ func (m *Machine) runScan() (done bool, err error) {
 				wakes[c.ID] = parked
 			case c.barrierWait:
 				wakes[c.ID] = parked // woken by the release rewriting the slot
+			case c.parkedAt != 0:
+				wakes[c.ID] = parked // woken by its holder's commit or abort
 			case c.stallUntil > m.Now:
 				w := c.stallUntil + 1
 				wakes[c.ID] = w
@@ -465,6 +478,9 @@ func (m *Machine) runScan() (done bool, err error) {
 			default:
 				wakes[c.ID] = m.Now + 1
 				m.nextReady = append(m.nextReady, c.ID)
+			}
+			if len(m.wokeNow) > 0 {
+				ready = m.foldWokeNow(ready)
 			}
 		}
 		if m.syncDirty {
@@ -575,7 +591,8 @@ func (m *Machine) runWheel() (done bool, err error) {
 			readyNext = readyNext[:0]
 		}
 
-		for _, id := range ready {
+		for i := 0; i < len(ready); i++ {
+			id := ready[i]
 			// Re-check the schedule at the core's turn: an earlier core's
 			// execution this cycle may have aborted (and rescheduled) it,
 			// exactly as under lockstep order, and a duplicate due-entry must
@@ -605,12 +622,17 @@ func (m *Machine) runWheel() (done bool, err error) {
 				wakes[c.ID] = parked
 			case c.barrierWait:
 				wakes[c.ID] = parked // woken by the release, via pendingWakes
+			case c.parkedAt != 0:
+				wakes[c.ID] = parked // woken by its holder's commit or abort
 			case c.stallUntil > m.Now:
 				wakes[c.ID] = c.stallUntil + 1
 				wheel.push(wakeKey(wakes[c.ID], c.ID), m.Now)
 			default:
 				wakes[c.ID] = m.Now + 1
 				readyNext = append(readyNext, c.ID)
+			}
+			if len(m.wokeNow) > 0 {
+				ready = m.foldWokeNow(ready)
 			}
 		}
 		if m.syncDirty {
@@ -851,4 +873,100 @@ func (m *Machine) settle(c *Core, upTo int64) {
 	}
 	c.chargeCycles(cat, n)
 	c.attributedUntil = upTo
+}
+
+// park takes core c, whose access was just NACKed at cycle Now, off the
+// retry poll: instead of re-executing the access every NackRetry cycles,
+// it waits on the transaction of the holder that vetoed it, and the loop
+// gives it no timed wake. Only the end of that transaction can lift the
+// veto — a holder's spec bits only grow while it runs, a spec-marked
+// block never becomes symbolically tracked, and the holder leaves the
+// block's target set only when a winning request aborts it — so every
+// retry polled before then would NACK again, with effects unpark
+// reproduces in bulk.
+//
+//retcon:hotpath runs at every NACK under the event scheduler
+func (m *Machine) park(c *Core) {
+	c.parkedAt = m.Now
+	m.Cores[c.nackHolder].waiters |= 1 << uint(c.ID)
+}
+
+// unpark ends c's parked wait so that it next retries at the first point
+// of its retry grid parkedAt + k·NackRetry (k >= 1) at or after cycle
+// from, and returns that cycle. The k-1 retries the poll loop would have
+// run before it all NACK, so they are accounted in bulk exactly as each
+// would have been: one instruction and one NACK, plus one predictor
+// conflict outside eager mode. Their cycles need nothing here: c's stall
+// category stays CatConflict, so settle charges them as polling would.
+//
+//retcon:hotpath runs at every wake of a parked core
+func (m *Machine) unpark(c *Core, from int64) int64 {
+	r := m.P.NackRetry
+	k := max((from-c.parkedAt+r-1)/r, 1)
+	if skipped := k - 1; skipped > 0 {
+		c.Stats.Instrs += skipped
+		c.Stats.Nacks += skipped
+		if m.P.Mode != Eager {
+			c.Pred.ObserveConflictN(c.nackBlock, skipped)
+		}
+		m.schedStats.SkippedRetries += skipped
+	}
+	m.Cores[c.nackHolder].waiters &^= 1 << uint(c.ID)
+	g := c.parkedAt + k*r
+	c.parkedAt = 0
+	c.stallUntil = g - 1
+	return g
+}
+
+// turnFrom is the first cycle at which core c can next execute, seen from
+// inside core execID's turn at cycle Now: Now itself when c's turn this
+// cycle is still ahead (a higher ID), Now+1 when it has passed.
+func (m *Machine) turnFrom(c *Core) int64 {
+	if c.ID > m.execID {
+		return m.Now
+	}
+	return m.Now + 1
+}
+
+// wakeWaiters unparks every core parked on h's transaction, which has
+// just committed or aborted during core execID's turn at cycle Now. Each
+// waiter retries at the first point of its grid its poll would have
+// reached after this event. That is Now itself only when Now is on its
+// grid and its turn is still ahead; it then goes to wokeNow, which the
+// loop folds into the current cycle's due list (see foldWokeNow). Later
+// wakes go through the wake table and pendingWakes, like any mid-cycle
+// reschedule.
+func (m *Machine) wakeWaiters(h *Core) {
+	for w := h.waiters; w != 0; w &= w - 1 {
+		c := m.Cores[bits.TrailingZeros64(w)]
+		g := m.unpark(c, m.turnFrom(c))
+		m.wakes[c.ID] = g
+		if g == m.Now {
+			m.wokeNow = append(m.wokeNow, c.ID)
+			continue
+		}
+		if g < m.minStall {
+			m.minStall = g
+		}
+		m.pendingWakes = append(m.pendingWakes, c.ID)
+	}
+}
+
+// foldWokeNow inserts the cores woken into the current cycle during the
+// executing core's turn into the cycle's ID-sorted due list and returns
+// it. Every such core has a higher ID than the executing one, so each
+// lands after it and still gets its turn this cycle. The loops keep the
+// due list in a local, not on the Machine, so that swapping lists each
+// cycle pays no GC write barrier; this rare fold is the price.
+func (m *Machine) foldWokeNow(ready []int) []int {
+	for _, id := range m.wokeNow {
+		ready = append(ready, id)
+		i := len(ready) - 1
+		for ; i > 0 && ready[i-1] > id; i-- {
+			ready[i] = ready[i-1]
+		}
+		ready[i] = id
+	}
+	m.wokeNow = m.wokeNow[:0]
+	return ready
 }

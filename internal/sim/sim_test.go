@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -517,19 +518,33 @@ func TestLazyVBFalseSharingImmunity(t *testing.T) {
 	}
 }
 
+// TestValidate is the rejection table: every invalid parameter fails
+// validation with an error that names it.
 func TestValidate(t *testing.T) {
 	p := DefaultParams()
 	if err := p.Validate(); err != nil {
 		t.Errorf("default params invalid: %v", err)
 	}
-	p.Cores = 0
-	if err := p.Validate(); err == nil {
-		t.Error("0 cores must be invalid")
-	}
-	p = DefaultParams()
-	p.Mode = Mode(9)
-	if err := p.Validate(); err == nil {
-		t.Error("bad mode must be invalid")
+	for _, c := range []struct {
+		name string
+		mut  func(*Params)
+		want string
+	}{
+		{"zero cores", func(p *Params) { p.Cores = 0 }, "cores"},
+		{"65 cores", func(p *Params) { p.Cores = 65 }, "cores"},
+		{"bad mode", func(p *Params) { p.Mode = Mode(9) }, "mode"},
+		{"bad scheduler", func(p *Params) { p.Sched = SchedKind(9) }, "scheduler"},
+		{"tiny memory", func(p *Params) { p.MemBytes = 64 }, "memory"},
+		{"zero watchdog", func(p *Params) { p.MaxCycles = 0 }, "MaxCycles"},
+		{"zero NACK retry", func(p *Params) { p.NackRetry = 0 }, "NackRetry"},
+		{"negative NACK retry", func(p *Params) { p.NackRetry = -3 }, "NackRetry"},
+	} {
+		p := DefaultParams()
+		c.mut(&p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 	if Mode(9).String() == "" {
 		t.Error("unknown mode must render")

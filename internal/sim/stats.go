@@ -119,6 +119,10 @@ type SchedStats struct {
 	EventCycles int64 // simulated cycles covered by the scan/wheel event loops
 	DenseCycles int64 // simulated cycles covered by the dense inner loop
 	Handoffs    int64 // event->dense mode switches
+	// SkippedRetries counts the NACK retries the event loops accounted
+	// without executing them, while their cores were parked on the
+	// holder's transaction. It is host work saved, not simulated work.
+	SkippedRetries int64
 }
 
 // SchedStats returns the scheduler-occupancy counters for the last Run.

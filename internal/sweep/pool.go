@@ -47,7 +47,14 @@ func DispatchStop[T any](n, workers int, fn func(int) T, stop <-chan struct{}, s
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = fn(i)
+				// An index received after stop closed has not started: it
+				// skips too, however the feeder's select raced with stop.
+				select {
+				case <-stop:
+					results[i] = skip(i)
+				default:
+					results[i] = fn(i)
+				}
 				close(done[i])
 			}
 		}()
@@ -59,14 +66,25 @@ func DispatchStop[T any](n, workers int, fn func(int) T, stop <-chan struct{}, s
 	//lint:nondet-safe feeder goroutine; emits indices in fixed 0..n-1 order
 	go func() {
 		defer close(next)
+		skipFrom := func(i int) {
+			for j := i; j < n; j++ {
+				results[j] = skip(j)
+				close(done[j])
+			}
+		}
 		for i := 0; i < n; i++ {
+			// Check stop before offering i: once both are ready, select
+			// picks at random, and an index could be issued after stop.
+			select {
+			case <-stop:
+				skipFrom(i)
+				return
+			default:
+			}
 			select {
 			case next <- i:
 			case <-stop:
-				for j := i; j < n; j++ {
-					results[j] = skip(j)
-					close(done[j])
-				}
+				skipFrom(i)
 				return
 			}
 		}

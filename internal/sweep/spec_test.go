@@ -253,6 +253,25 @@ func TestExpandRejectsUnknownWorkloadAndMode(t *testing.T) {
 	}
 }
 
+// TestExpandRejectsZeroNackRetry: a spec setting "nack_retry": 0 (which
+// once ran silently as 1) fails at expansion, with the spec, the grid
+// point and the parameter named.
+func TestExpandRejectsZeroNackRetry(t *testing.T) {
+	specs, err := ParseSpecs(strings.NewReader(`{"name": "noretry", "workloads": ["counter"], "cores": [4], "params": {"nack_retry": 0}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = specs[0].Expand(sim.DefaultParams())
+	if err == nil {
+		t.Fatal(`"nack_retry": 0 must fail expansion`)
+	}
+	for _, want := range []string{`"noretry"`, "counter/eager/4", "NackRetry"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
 func TestExpandSpecialWorkloadSets(t *testing.T) {
 	// "all" is the fixed builtin set, unaffected by whatever other tests
 	// registered dynamically in this binary.
