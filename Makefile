@@ -7,7 +7,8 @@
 #   make test        the tier-1 gate: build + full test suite
 #   make test-short  quick iteration loop (skips the slow verification grids)
 #   make race        full test suite under the race detector
-#   make ci          what CI runs: vet + lint + full tests
+#   make ci          what CI runs: vet + lint + full tests + perfbench-test
+#                    + the bench/wload/lab/chaos/trace smokes
 #   make perfbench-test  the perfbench module's own tests (a separate
 #                    module, so the root go build/test never compiles it)
 #   make bench       time the cycle loop under both schedulers -> BENCH_sim.json
@@ -70,7 +71,7 @@ test-short: build
 race: build
 	$(GO) test -race ./...
 
-ci: vet lint test perfbench-test wload-smoke lab-smoke chaos-smoke trace-smoke
+ci: vet lint test perfbench-test bench-smoke wload-smoke lab-smoke chaos-smoke trace-smoke
 
 # perfbench is its own module (it replaces repro with the checkout), so
 # `go build ./...` and `go test ./...` at the root never see it break.

@@ -1,9 +1,9 @@
 // Package testutil holds the simulation test scaffolding shared by the
-// determinism suites: snapshotting final memory, running a workload
-// bundle to its observable output, asserting byte-identical builds, and
-// the lockstep-vs-event cross-scheduler check. internal/wspec,
-// internal/fuzz and internal/lab all assert the same guarantees — this
-// package keeps them asserting the same way.
+// determinism suites: running a workload bundle to its observable output,
+// asserting byte-identical builds, and the lockstep-vs-event
+// cross-scheduler check. internal/wspec, internal/fuzz and internal/lab
+// all assert the same guarantees — this package keeps them asserting the
+// same way.
 package testutil
 
 import (
@@ -17,20 +17,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// Snapshot copies the image's words — the final architectural state.
-func Snapshot(img *mem.Image) []int64 {
-	out := make([]int64, img.Size()/mem.WordSize)
-	for i := range out {
-		out[i] = img.Read64(int64(i) * mem.WordSize)
-	}
-	return out
-}
-
 // SimOut is one simulation's observable output: the Result, the final
-// memory words, and (optionally) the event trace.
+// memory image, and (optionally) the event trace.
 type SimOut struct {
 	Res   *sim.Result
-	Img   []int64
+	Mem   *mem.Image
 	Trace []byte
 }
 
@@ -60,7 +51,7 @@ func Exec(t testing.TB, p sim.Params, b *workloads.Bundle, trace bool, prep func
 			t.Fatalf("%v/%v: %v", p.Mode, p.Sched, err)
 		}
 	}
-	return SimOut{Res: res, Img: Snapshot(b.Mem), Trace: tb.Bytes()}
+	return SimOut{Res: res, Mem: b.Mem, Trace: tb.Bytes()}
 }
 
 // CrossSched builds the bundle fresh per scheduler, runs it under the
@@ -86,8 +77,8 @@ func CrossSched(t testing.TB, label string, p sim.Params, build func() *workload
 		if trace && !bytes.Equal(ref.Trace, out.Trace) {
 			t.Fatalf("%s/%v: traces diverge:%s", label, p.Mode, FirstTraceDiff(ref.Trace, out.Trace))
 		}
-		if !reflect.DeepEqual(ref.Img, out.Img) {
-			t.Fatalf("%s/%v: final memory diverges between schedulers", label, p.Mode)
+		if !ref.Mem.Equal(out.Mem) {
+			t.Fatalf("%s/%v: final memory diverges between schedulers: %s", label, p.Mode, FirstMemDiff(ref.Mem, out.Mem))
 		}
 		return out
 	}
@@ -100,7 +91,7 @@ func CrossSched(t testing.TB, label string, p sim.Params, build func() *workload
 func AssertSameBuild(t testing.TB, label string, a, b *workloads.Bundle) {
 	t.Helper()
 	if !a.Mem.Equal(b.Mem) {
-		t.Fatalf("%s: images differ at word %#x", label, a.Mem.DiffWord(b.Mem))
+		t.Fatalf("%s: images differ: %s", label, FirstMemDiff(a.Mem, b.Mem))
 	}
 	if len(a.Programs) != len(b.Programs) {
 		t.Fatalf("%s: %d vs %d programs", label, len(a.Programs), len(b.Programs))
@@ -121,6 +112,16 @@ func SeedMatrix(t testing.TB, threads []int, seeds []int64, f func(threads int, 
 			f(n, s)
 		}
 	}
+}
+
+// FirstMemDiff names the first word at which two unequal images differ,
+// with both values, for a readable failure message.
+func FirstMemDiff(a, b *mem.Image) string {
+	if a.Size() != b.Size() {
+		return fmt.Sprintf("sizes %d and %d", a.Size(), b.Size())
+	}
+	w := a.DiffWord(b)
+	return fmt.Sprintf("word %#x: %d vs %d", w, a.Read64(w), b.Read64(w))
 }
 
 // FirstTraceDiff renders the first differing trace line for a readable

@@ -281,6 +281,9 @@ func (w *Vacation) verifyTree(img *mem.Image, root, visitBase, recBase, maxKey i
 		if addr == 0 {
 			return nil
 		}
+		if !img.InRange(addr, vnCount+8) {
+			return verifyErr(w.Name(), "tree link %#x points outside the image", addr)
+		}
 		if seen[addr] {
 			return verifyErr(w.Name(), "tree node %#x reached twice (cycle)", addr)
 		}

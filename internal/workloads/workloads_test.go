@@ -136,6 +136,42 @@ func TestVerifierCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifierRejectsWildLinks: a word corrupted to point outside the
+// image must fail verification, never panic inside Verify (a sweep would
+// file the panic as a crash). Every word of each workload's first 64
+// blocks is overwritten in turn with a link past Size() and a negative
+// one. The words include links of yada's mesh and vacation's tree, the
+// verifiers that follow pointers loaded from memory; every verifier must
+// reject at least one corruption.
+func TestVerifierRejectsWildLinks(t *testing.T) {
+	for _, w := range small() {
+		b := w.Build(4, 7)
+		runBundle(t, b, sim.Eager, 4)
+		caught := false
+		end := min(b.Mem.Materialized(), mem.BlockSize*65)
+		for addr := int64(mem.BlockSize); addr < end; addr += mem.WordSize {
+			old := b.Mem.Read64(addr)
+			for _, wild := range []int64{b.Mem.Size() + mem.BlockSize, -mem.BlockSize} {
+				b.Mem.Write64(addr, wild)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s: Verify panicked with word %#x = %#x: %v", w.Name(), addr, wild, r)
+						}
+					}()
+					if b.Verify(b.Mem) != nil {
+						caught = true
+					}
+				}()
+			}
+			b.Mem.Write64(addr, old)
+		}
+		if !caught {
+			t.Errorf("%s: verifier accepted every wild link", w.Name())
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	names := map[string]bool{}
 	for _, w := range All() {

@@ -136,6 +136,9 @@ func (w *Yada) Build(threads int, seed int64) *Bundle {
 				if cur == start {
 					break
 				}
+				if !img.InRange(cur+ynNext, 8) {
+					return verifyErr(w.Name(), "mesh walk hit a wild link %#x after %d nodes (corrupted splice)", cur, count)
+				}
 			}
 			if count != want {
 				return verifyErr(w.Name(), "mesh has %d nodes, want %d (lost splices)", count, want)
