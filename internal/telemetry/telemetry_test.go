@@ -149,6 +149,25 @@ func TestEmitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkRecorderEmit prices one decision point with no recorder
+// attached (the nil check every run pays) and with one attached whose
+// sink discards the flushed batches.
+func BenchmarkRecorderEmit(b *testing.B) {
+	e := Event{Kind: KindCommit, Tx: 1, A: 9}
+	for _, tc := range []struct {
+		name string
+		rec  *Recorder
+	}{{"detached", nil}, {"attached", NewRecorder(&countingSink{}, 0)}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(binaryRecordSize)
+			for b.Loop() {
+				tc.rec.Emit(e)
+			}
+		})
+	}
+}
+
 func TestHist(t *testing.T) {
 	var h Hist
 	for _, v := range []int64{0, 1, 1, 3, 900, -5} {
