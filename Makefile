@@ -157,6 +157,7 @@ fuzz: build
 	$(GO) test ./internal/core/ -run xxx -fuzz FuzzBranchConstraint -fuzztime 30s
 	$(GO) test ./internal/fuzz/ -run xxx -fuzz FuzzDifferential -fuzztime 30s
 	$(GO) test ./internal/telemetry/ -run xxx -fuzz FuzzReadEvents -fuzztime 30s
+	$(GO) test ./internal/lab/ -run xxx -fuzz FuzzParseMetric -fuzztime 30s
 
 fuzz-long: build
 	$(GO) run ./cmd/retcon-fuzz -seeds 0:1000000 -corpus fuzz-found

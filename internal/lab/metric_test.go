@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -162,4 +163,52 @@ func TestMetricEnvAgainstSimulator(t *testing.T) {
 	if got, want := m.Eval(env), float64(tot.Aborts)/float64(tot.Commits); !close(got, want) {
 		t.Fatalf("aborts/commits = %v, want %v", got, want)
 	}
+}
+
+// FuzzParseMetric: the metric parser takes expressions from hypothesis
+// files. Whatever the input, it must not panic; an accepted expression
+// must evaluate to the same value every time on a fixed environment
+// (NaN included) and reference only advertised fields that appear in its
+// source; a rejected one must name the source in its error.
+func FuzzParseMetric(f *testing.F) {
+	for _, s := range []string{
+		"cycles", "1 + 2 * 3", "-(commits - aborts) / 2", "2e-1 * 10", "1e+308 * 10",
+		"speedup", "aborts / commits", "cycles / (aborts - aborts)", "(((instrs)))",
+		"", "(cycles", "cycles +", "cycles $ 2", "1..2", "cycles aborts", "--.5e", "bogus_field",
+	} {
+		f.Add(s)
+	}
+	vars := MetricVars()
+	env := make(map[string]float64, len(vars))
+	for i, v := range vars {
+		env[v] = float64(i) + 0.5
+	}
+	env["aborts"] = 0 // lets divisions reach ±Inf and NaN
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := ParseMetric(src)
+		if err != nil {
+			if m != nil {
+				t.Fatalf("ParseMetric(%q) returned a metric with error %v", src, err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", src)) {
+				t.Fatalf("ParseMetric(%q) error does not name the source: %v", src, err)
+			}
+			return
+		}
+		if m.String() != src {
+			t.Fatalf("String() = %q, want %q", m.String(), src)
+		}
+		if a, b := m.Eval(env), m.Eval(env); !same(a, b) {
+			t.Fatalf("Eval(%q) not deterministic: %v then %v", src, a, b)
+		}
+		for _, v := range vars {
+			if m.Uses(v) && !strings.Contains(src, v) {
+				t.Fatalf("%q reports using %q, which it does not mention", src, v)
+			}
+		}
+		if m.Uses("bogus") {
+			t.Fatalf("%q reports using an unadvertised field", src)
+		}
+	})
 }

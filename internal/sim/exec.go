@@ -125,6 +125,67 @@ func (m *Machine) exec(c *Core) {
 	}
 }
 
+// runAheadMax caps one run-ahead batch. It keeps the batched core's wake
+// within the timing wheel's horizon and the loops' interrupt polls, which
+// come at visited-cycle window boundaries, prompt.
+const runAheadMax = wheelSize - 1
+
+// runAhead executes, in core c's current event-loop turn, the run of
+// register-only instructions (ALU, branch, jump, nop) that follows the
+// instruction c just executed at cycle Now, as if issued one per cycle at
+// Now+1, Now+2, ..., and stalls c busy through the last of them. It does
+// nothing unless c can issue again at Now+1.
+//
+// Such an instruction reads and writes only c's registers and PC, which
+// no other core observes: it is invisible to the rest of the machine
+// until c's next memory, transaction, barrier or halt instruction, which
+// issues at its own cycle in its own turn. Lazy settle charges the batch's
+// cycles (and Tx.AccumBusy) to busy exactly as lockstep's per-cycle
+// attribution would, and abort unwinds the instructions of a batch that a
+// remote abort cuts short (see aheadUntil). The batch stops before
+// anything that could abort or emit an event — in an active RETCON
+// transaction, any instruction with a symbolic operand — and never runs
+// past MaxCycles, so a watchdog sees lockstep's PCs.
+//
+//retcon:hotpath runs after every event-loop exec
+func (m *Machine) runAhead(c *Core) {
+	if c.stallUntil > m.Now || c.halted || c.barrierWait || c.parkedAt != 0 {
+		return
+	}
+	end := min(m.Now+runAheadMax, m.P.MaxCycles)
+	symbolic := m.P.Mode == RetCon && c.Tx.Active
+	t := m.Now
+batch:
+	for t < end && uint(c.PC) < uint(len(c.instrs)) {
+		in := &c.instrs[c.PC]
+		if symbolic && (c.Ret.Regs[in.Rs1].Valid || c.Ret.Regs[in.Rs2].Valid) {
+			break
+		}
+		switch in.Op {
+		case isa.Nop:
+			c.PC++
+		case isa.Li, isa.Mov, isa.Add, isa.Addi, isa.Sub, isa.Rsubi, isa.Mul,
+			isa.Muli, isa.Div, isa.Rem, isa.And, isa.Andi, isa.Or, isa.Xor,
+			isa.Shli, isa.Shri, isa.AddF, isa.MulF:
+			m.execALU(c, in) // concrete operands: cannot abort
+			c.PC++
+		case isa.Jmp:
+			c.PC = in.Target
+		case isa.Beq, isa.Bne, isa.Blt, isa.Bge, isa.Ble, isa.Bgt:
+			m.execBranch(c, in) // concrete operands: cannot abort
+		default:
+			break batch
+		}
+		t++
+	}
+	if n := t - m.Now; n > 0 {
+		c.Stats.Instrs += n
+		m.schedStats.RunAheadInstrs += n
+		c.setStall(t, CatBusy)
+		c.aheadUntil = t
+	}
+}
+
 // nacked stalls core c, whose access was just NACKed, until its next
 // retry NackRetry cycles on — or, under the event scheduler, parks it on
 // the vetoing holder's transaction instead (see park).

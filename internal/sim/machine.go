@@ -53,6 +53,12 @@ type Core struct {
 	// abort discards it.
 	nackWaitSince int64
 
+	// aheadUntil is the issue cycle of the last instruction of the core's
+	// latest run-ahead batch (event scheduler; see runAhead), 0 when none
+	// is pending. A remote abort before that cycle unwinds the batch's
+	// instructions that lockstep would not yet have executed.
+	aheadUntil int64
+
 	// Parked NACK waits (event scheduler; see park in sched.go).
 	// nackHolder and nackBlock name the core that vetoed the last NACKed
 	// request and its block. parkedAt is the NACK cycle of a parked core,
@@ -277,6 +283,7 @@ func (c *Core) resetFor(prog *isa.Program, specCap int, retCfg core.Config, p Pa
 	c.pendingTS = 0
 	c.nackProbeValid = false
 	c.nackWaitSince = 0
+	c.aheadUntil = 0
 	c.nackHolder = 0
 	c.nackBlock = 0
 	c.parkedAt = 0
@@ -505,6 +512,22 @@ func (m *Machine) abort(c *Core, blameBlock int64, cause telemetry.Cause) {
 		} else {
 			m.settle(c, m.Now-1)
 		}
+	}
+	if c.aheadUntil != 0 && c.ID != m.execID {
+		// Remote abort of a core mid run-ahead batch (under either event
+		// loop, or in a dense phase the batch crossed into): lockstep has
+		// run the batch through this cycle if the victim's turn in it has
+		// passed (a smaller ID), through the previous cycle otherwise. The
+		// rest never executed; registers and PC are restored below anyway.
+		ran := m.Now - 1
+		if c.ID < m.execID {
+			ran = m.Now
+		}
+		if unrun := c.aheadUntil - ran; unrun > 0 {
+			c.Stats.Instrs -= unrun
+			m.schedStats.RunAheadInstrs -= unrun
+		}
+		c.aheadUntil = 0
 	}
 	// wasted is the work this abort throws away — exactly the cycles the
 	// next lines reattribute to the conflict category.

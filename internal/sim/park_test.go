@@ -307,8 +307,22 @@ func TestParkedUntilWatchdog(t *testing.T) {
 	}
 }
 
-// TestParkedAcrossDenseHandoff: six cores spin in busy loops while a
-// waiter is parked on a long transaction, so the event loop hands the
+// l1Spin emits a loop of iters iterations of 16 loads of addr, which hit
+// in L1 after the first: a core running it executes nearly every cycle,
+// and run-ahead cannot batch its loads, so it keeps the event loops' exec
+// density above the dense-phase threshold.
+func l1Spin(b *isa.Builder, ctr isa.Reg, addr, iters int64, label string) {
+	b.Li(ctr, iters)
+	b.Label(label)
+	for i := 0; i < 16; i++ {
+		b.Ld(isa.R(3), isa.Zero, addr, 8)
+	}
+	b.Addi(ctr, ctr, -1)
+	b.Bgt(ctr, isa.Zero, label)
+}
+
+// TestParkedAcrossDenseHandoff: six cores spin in L1-hit load loops while
+// a waiter is parked on a long transaction, so the event loop hands the
 // dense phase to the polling dense loop with the waiter parked. The
 // handoff must resume the waiter on its retry grid with its skipped polls
 // accounted.
@@ -336,7 +350,7 @@ func TestParkedAcrossDenseHandoff(t *testing.T) {
 			for i := range progs {
 				if i != ids[0] && i != ids[1] {
 					b := isa.NewBuilder("spin")
-					b.BusyLoop(isa.R(2), 2500, "spin")
+					l1Spin(b, isa.R(2), img.AllocBlocks(mem.BlockSize), 300, "spin")
 					b.Halt()
 					progs[i] = b.MustAssemble()
 				}
@@ -351,5 +365,104 @@ func TestParkedAcrossDenseHandoff(t *testing.T) {
 		if ev.sched.Handoffs == 0 || ev.sched.SkippedRetries == 0 {
 			t.Errorf("%s: handoffs=%d skipped=%d, want both > 0", label, ev.sched.Handoffs, ev.sched.SkippedRetries)
 		}
+	}
+}
+
+// TestRunAheadAcrossDenseHandoff: six cores spin in L1-hit load loops
+// wrapped in small transactions, so the event loop hands the run to the
+// dense loop while a victim transaction is inside a run-ahead batch of its
+// register-only loop; a plain store then aborts the victim during the
+// dense phase. The dense loop must set execID so that the abort unwinds
+// exactly the batched instructions lockstep had not yet run, with the
+// victim's ID below and above the aborter's. The guard checks, at the
+// spinners' commits, that a batched core really crossed into the dense
+// loop, and on the recorded stream that aborts landed there mid-loop.
+func TestRunAheadAcrossDenseHandoff(t *testing.T) {
+	mask := telemetry.MaskOf(telemetry.KindAbort, telemetry.KindHandoff)
+	crossed, denseAborts := 0, 0
+	for _, ids := range [][2]int{{2, 5}, {5, 2}} { // victim, aborter
+		for d := int64(1000); d < 1400; d += 9 {
+			build := func() (*mem.Image, []*isa.Program) {
+				img := mem.NewImage(1 << 16)
+				x := img.AllocBlocks(mem.BlockSize)
+				victim := isa.NewBuilder("victim")
+				victim.Ld(isa.R(1), isa.Zero, x, 8)
+				victim.TxBegin()
+				victim.Ld(isa.R(1), isa.Zero, x, 8)
+				victim.BusyLoop(isa.R(2), 1500, "work")
+				victim.St(isa.R(1), isa.Zero, x+8, 8)
+				victim.TxCommit()
+				victim.Halt()
+				aborter := isa.NewBuilder("aborter")
+				aborter.BusyLoop(isa.R(2), d/2, "wait")
+				aborter.St(isa.R(2), isa.Zero, x, 8)
+				aborter.Halt()
+				progs := parkProgs(8, ids[:], []*isa.Builder{victim, aborter})
+				for i := range progs {
+					if i != ids[0] && i != ids[1] {
+						b := isa.NewBuilder("spin")
+						priv := img.AllocBlocks(mem.BlockSize)
+						b.Li(isa.R(2), 150)
+						b.Label("spin")
+						b.TxBegin()
+						for k := 0; k < 16; k++ {
+							b.Ld(isa.R(3), isa.Zero, priv, 8)
+						}
+						b.TxCommit()
+						b.Addi(isa.R(2), isa.R(2), -1)
+						b.Bgt(isa.R(2), isa.Zero, "spin")
+						b.Halt()
+						progs[i] = b.MustAssemble()
+					}
+				}
+				return img, progs
+			}
+			label := fmt.Sprintf("victim=%d delay=%d", ids[0], d)
+			p := testParams(8, Eager)
+			lock := runParkSched(t, p, SchedLockstep, mask, build)
+
+			img, progs := build()
+			p.Sched = SchedEvent
+			m, err := New(p, img, progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log eventLog
+			rec := telemetry.NewRecorder(&log, 0)
+			rec.SetKinds(mask)
+			m.Record(rec)
+			m.OnCommit(func(mm *Machine, _ *Core) error {
+				for _, c := range mm.Cores {
+					if !mm.lazyAttr && c.aheadUntil > mm.Now {
+						crossed++
+						break
+					}
+				}
+				return nil
+			})
+			res, err := m.Run()
+			if fmt.Sprint(lock.err) != fmt.Sprint(err) || !reflect.DeepEqual(lock.res, res) {
+				t.Fatalf("%s: diverges from lockstep\nlockstep: %v %+v\nevent:    %v %+v", label, lock.err, lock.res, err, res)
+			}
+			var aborts []telemetry.Event
+			dense := false
+			for _, e := range log.evs {
+				switch {
+				case e.Kind == telemetry.KindHandoff:
+					dense = e.A == 1
+				case e.Kind == telemetry.KindAbort:
+					aborts = append(aborts, e)
+					if dense && int(e.Core) == ids[0] && e.C > 2 {
+						denseAborts++
+					}
+				}
+			}
+			if !reflect.DeepEqual(lock.evs, aborts) {
+				t.Fatalf("%s: abort streams diverge", label)
+			}
+		}
+	}
+	if crossed == 0 || denseAborts == 0 {
+		t.Errorf("%d commits saw a batch in the dense loop, %d aborts hit the victim's loop there; want both > 0", crossed, denseAborts)
 	}
 }

@@ -136,6 +136,8 @@ func (lockstepSched) Run(m *Machine) error {
 // Both strategies execute due cores in ascending ID order at the same
 // cycles and re-check Machine.wakes at each core's turn, so they are
 // observationally identical to each other and to the lockstep oracle.
+// Within a turn, a core also executes the register-only run that follows
+// its instruction (runAhead): no other core can observe it.
 //
 // Dense phases — every live core executing nearly every cycle, so there is
 // nothing to skip — are where an event queue can only lose: it pays wake
@@ -275,6 +277,7 @@ func (m *Machine) runDense() (done bool, err error) {
 			case m.Now <= c.stallUntil:
 				c.addCycle(c.stallCat)
 			default:
+				m.execID = c.ID // a remote abort may cut a run-ahead batch short
 				m.exec(c)
 				executed++
 			}
@@ -460,6 +463,7 @@ func (m *Machine) runScan() (done bool, err error) {
 			c.attributedUntil = m.Now
 			m.execID = c.ID
 			m.exec(c)
+			m.runAhead(c) // counts as one exec in the density window
 			winExec++
 			switch {
 			case c.halted:
@@ -615,6 +619,7 @@ func (m *Machine) runWheel() (done bool, err error) {
 			c.attributedUntil = m.Now
 			m.execID = c.ID
 			m.exec(c)
+			m.runAhead(c) // counts as one exec in the density window
 			winExec++
 			switch {
 			case c.halted:

@@ -123,6 +123,12 @@ type SchedStats struct {
 	// without executing them, while their cores were parked on the
 	// holder's transaction. It is host work saved, not simulated work.
 	SkippedRetries int64
+	// RunAheadInstrs counts the register-only instructions the event
+	// loops executed ahead of their issue cycle, batched into the turn of
+	// the instruction before them (see runAhead). Like SkippedRetries it
+	// measures host work, not simulated work: every one of them is also
+	// in the Result's instruction count.
+	RunAheadInstrs int64
 }
 
 // SchedStats returns the scheduler-occupancy counters for the last Run.
